@@ -1,0 +1,1 @@
+"""Repo benchmark package; the entry point is ``perfbench/run.py``."""
