@@ -9,31 +9,37 @@
   ``parameter.data`` so optimizer rebinds are seen), host input (per-step
   RNG draw, regenerated each replay to keep the serial RNG stream), or
   frozen constant (everything else — precomputed supports, scalars);
-* a **forward program** of build-time-specialized closures writing into
-  preallocated buffers (consecutive single-consumer elementwise ops are
-  fused into one chain instruction);
+* a **forward program** binding each recorded op's table entry
+  (:data:`repro.tensor.ops.OPS`) to preallocated arena buffers
+  (consecutive single-consumer elementwise ops are fused into one chain
+  instruction);
 * an **adjoint program** emitted by walking the recorded graph once in
-  reverse — assign-vs-accumulate is decided per gradient buffer at build
-  time, so replay does no tape, no graph, and no autograd bookkeeping.
+  reverse, binding the same entries' VJPs — assign-vs-accumulate is
+  decided per gradient buffer at build time, so replay does no tape, no
+  graph, and no autograd bookkeeping.
+
+The capture records each call already bound (tensor operands plus static
+config), so lowering needs no per-op argument parsing: the plan runs the
+very forward and VJP code the interpreted tape runs.
 
 Anything the op stream cannot faithfully replay raises
-:class:`LoweringError` — ``where`` (its condition is Python-level data
-that would freeze one batch's mask into the plan), host inputs without a
-regeneration closure, or a training trace that never touches a parameter.
-The executor treats a :class:`LoweringError` as "this signature is
-interpreted-only" and falls back.
+:class:`LoweringError` — host inputs without a regeneration closure, a
+step output no op produced, or a training trace that never touches a
+parameter.  The executor treats a :class:`LoweringError` as "this
+signature is interpreted-only" and falls back.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..tensor.tensor import Tensor
+from ..tensor.ops import OPS, Op
+from ..tensor.tensor import Tensor, unbroadcast
 from .capture import CaptureRecorder, TraceRecord
-from .kernels import ADJOINT, FORWARD, FUSABLE, reduce_grad
 
 __all__ = ["CompiledPlan", "LoweringError", "lower_predict_plan", "lower_training_plan"]
 
@@ -43,15 +49,20 @@ class LoweringError(RuntimeError):
 
 
 class _LoweredOp:
-    """One primitive with node-id operands and build-time static config."""
+    """One table entry bound to node-id operands and its static config.
 
-    __slots__ = ("name", "ins", "out", "static")
+    ``traced`` holds the trace-time ``(y, xs)`` arrays; view VJPs read
+    their shapes once at build time.
+    """
 
-    def __init__(self, name: str, ins: Tuple[int, ...], out: int, static: dict) -> None:
-        self.name = name
+    __slots__ = ("op", "ins", "out", "static", "traced")
+
+    def __init__(self, op: Op, ins: Tuple[int, ...], out: int, static: dict, traced: tuple) -> None:
+        self.op = op
         self.ins = ins
         self.out = out
         self.static = static
+        self.traced = traced
 
 
 class _Node:
@@ -64,17 +75,16 @@ class _Node:
         self.requires = requires
 
 
-_REQUIRED = object()
+def _scratch() -> Callable:
+    """One instruction's workspace (an op's ``ws``): each ``(key, shape,
+    dtype)`` is allocated on first use and the same buffer is handed back
+    on every later replay, so steady-state replay allocates nothing."""
 
+    @lru_cache(maxsize=None)
+    def ws(key, shape, dtype=np.float64) -> np.ndarray:
+        return np.empty(shape, dtype)
 
-def _arg(args: tuple, kwargs: dict, position: int, name: str, default=_REQUIRED):
-    if position < len(args):
-        return args[position]
-    if name in kwargs:
-        return kwargs[name]
-    if default is _REQUIRED:
-        raise LoweringError(f"captured op missing argument {name!r}")
-    return default
+    return ws
 
 
 class CompiledPlan:
@@ -131,11 +141,7 @@ class CompiledPlan:
 
 
 class _PlanBuilder:
-    """Node table + buffer arena + assign/accumulate bookkeeping.
-
-    This is the ``ctx`` object the kernel builders in
-    :mod:`repro.compile.kernels` program against.
-    """
+    """Node table + buffer arena + assign/accumulate bookkeeping."""
 
     def __init__(self, recorder: CaptureRecorder, need_grads: bool) -> None:
         self._recorder = recorder
@@ -198,22 +204,14 @@ class _PlanBuilder:
             self._const_keep.append(array)
         return nid
 
-    def tid(self, value) -> int:
-        """Node id for one tensorish op argument."""
-        if isinstance(value, Tensor):
-            nid = self._by_tensor.get(id(value))
-            if nid is not None:
-                return nid
+    def tid(self, value: Tensor) -> int:
+        """Node id for one tensor operand."""
+        nid = self._by_tensor.get(id(value))
+        if nid is None:
             host = self._recorder.host_index(value.data)
             nid = self._host_node(host, value.data) if host is not None else self._const_node(value.data)
             self._by_tensor[id(value)] = nid
-            return nid
-        if isinstance(value, np.ndarray):
-            host = self._recorder.host_index(value)
-            if host is not None:
-                return self._host_node(host, value)
-            return self._const_node(value)
-        return self._const_node(np.asarray(value, dtype=np.float64))
+        return nid
 
     def add_op_out(self, out_tensor, ins: Tuple[int, ...]) -> int:
         requires = self._need_grads and any(self.nodes[i].requires for i in ins)
@@ -222,7 +220,7 @@ class _PlanBuilder:
         return nid
 
     # ------------------------------------------------------------------ #
-    # kernel-builder (ctx) API
+    # arena
     # ------------------------------------------------------------------ #
     def shape(self, nid: int) -> Tuple[int, ...]:
         return self.nodes[nid].shape
@@ -234,11 +232,6 @@ class _PlanBuilder:
         node = self.nodes[nid]
         buf = np.empty(node.shape, dtype=node.dtype)
         self.slots[nid] = buf
-        self.buffer_bytes += buf.nbytes
-        return buf
-
-    def scratch(self, shape, dtype=np.float64) -> np.ndarray:
-        buf = np.empty(shape, dtype=dtype)
         self.buffer_bytes += buf.nbytes
         return buf
 
@@ -270,119 +263,124 @@ class _PlanBuilder:
         self._grad_seen.add(nid)
         return first
 
-    def make_sink(self, nid: int, first: bool) -> Callable[[np.ndarray], None]:
-        buf = self.grad_buffer(nid)
-        shape = self.nodes[nid].shape
-
-        if first:
-            def sink(value: np.ndarray) -> None:
-                if value.shape != shape:
-                    value = reduce_grad(value, shape)
-                np.copyto(buf, value)
-        else:
-            def sink(value: np.ndarray) -> None:
-                if value.shape != shape:
-                    value = reduce_grad(value, shape)
-                np.add(buf, value, out=buf)
-
-        return sink
-
 
 # --------------------------------------------------------------------- #
-# per-op argument normalization: raw (args, kwargs) -> _LoweredOp
+# binding table entries to the arena
 # --------------------------------------------------------------------- #
-_BINARY = frozenset({"add", "sub", "mul", "div", "maximum", "minimum", "matmul", "dropout_mask"})
-_UNARY = frozenset({"neg", "exp", "log", "sqrt", "abs", "tanh", "sigmoid", "relu", "softplus"})
-_REDUCTIONS = frozenset({"sum", "mean", "max"})
-
-
 def _lower_record(builder: _PlanBuilder, rec: TraceRecord) -> _LoweredOp:
-    name, args, kwargs = rec.name, rec.args, rec.kwargs
-    if name == "where":
-        raise LoweringError("op 'where' has a Python-level condition the plan cannot replay")
-    out_data = rec.out.data
+    ins = tuple(builder.tid(t) for t in rec.args)
+    # frozen copies of array-valued config (gather/getitem indices)
+    static = {k: np.array(v) if isinstance(v, np.ndarray) else v for k, v in rec.kwargs.items()}
+    traced = (rec.out.data, [t.data for t in rec.args])
+    return _LoweredOp(OPS[rec.name], ins, builder.add_op_out(rec.out, ins), static, traced)
 
-    if name in _BINARY:
-        ins = (builder.tid(args[0]), builder.tid(args[1]))
-        static: dict = {}
-    elif name in _UNARY:
-        ins = (builder.tid(args[0]),)
-        static = {}
-    elif name == "power":
-        ins = (builder.tid(args[0]),)
-        static = {"exponent": float(_arg(args, kwargs, 1, "exponent"))}
-    elif name == "clip":
-        ins = (builder.tid(args[0]),)
-        static = {
-            "low": float(_arg(args, kwargs, 1, "low")),
-            "high": float(_arg(args, kwargs, 2, "high")),
-        }
-    elif name == "huber":
-        ins = (builder.tid(args[0]),)
-        static = {"delta": float(_arg(args, kwargs, 1, "delta", 1.0))}
-    elif name == "leaky_relu":
-        ins = (builder.tid(args[0]),)
-        static = {"negative_slope": float(_arg(args, kwargs, 1, "negative_slope", 0.01))}
-    elif name == "linear":
-        bias = _arg(args, kwargs, 2, "bias", None)
-        ins = (builder.tid(args[0]), builder.tid(args[1]))
-        if bias is not None:
-            ins = ins + (builder.tid(bias),)
-        static = {}
-    elif name == "transpose":
-        axes = _arg(args, kwargs, 1, "axes", None)
-        if axes is not None:
-            axes = tuple(int(ax) for ax in axes)
-        ins = (builder.tid(args[0]),)
-        static = {
-            "axes": axes,
-            "inverse": None if axes is None else tuple(int(ax) for ax in np.argsort(axes)),
-        }
-    elif name == "swapaxes":
-        ins = (builder.tid(args[0]),)
-        static = {
-            "axis1": int(_arg(args, kwargs, 1, "axis1")),
-            "axis2": int(_arg(args, kwargs, 2, "axis2")),
-        }
-    elif name == "reshape":
-        ins = (builder.tid(args[0]),)
-        static = {"shape": tuple(int(n) for n in out_data.shape)}
-    elif name == "getitem":
-        ins = (builder.tid(args[0]),)
-        static = {"index": _arg(args, kwargs, 1, "index")}
-    elif name == "gather":
-        a = builder.tid(args[0])
-        ndim = len(builder.shape(a))
-        axis = int(_arg(args, kwargs, 1, "axis"))
-        static = {
-            "axis": axis % ndim if ndim else 0,
-            "index": np.array(_arg(args, kwargs, 2, "index")),
-        }
-        ins = (a,)
-    elif name in ("concat", "stack"):
-        sequence = _arg(args, kwargs, 0, "tensors")
-        ins = tuple(builder.tid(t) for t in sequence)
-        axis = int(_arg(args, kwargs, 1, "axis", 0))
-        static = {"axis": axis % out_data.ndim}
-    elif name == "pad":
-        ins = (builder.tid(args[0]),)
-        pad_width = _arg(args, kwargs, 1, "pad_width")
-        static = {"pad_width": tuple((int(lo), int(hi)) for lo, hi in pad_width)}
-    elif name == "broadcast_to":
-        ins = (builder.tid(args[0]),)
-        static = {"shape": tuple(int(n) for n in out_data.shape)}
-    elif name in _REDUCTIONS:
-        axis = _arg(args, kwargs, 1, "axis", None)
-        if axis is not None:
-            axis = int(axis) if isinstance(axis, (int, np.integer)) else tuple(int(ax) for ax in axis)
-        ins = (builder.tid(args[0]),)
-        static = {"axis": axis, "keepdims": bool(_arg(args, kwargs, 2, "keepdims", False))}
-    elif name in ("softmax", "log_softmax"):
-        ins = (builder.tid(args[0]),)
-        static = {"axis": int(_arg(args, kwargs, 1, "axis", -1))}
+
+def _replay(call: Callable, s: list, nids: Tuple[int, ...], out, ws) -> Callable[[], np.ndarray]:
+    """Instruction calling ``call(*slots[nids], out=out, ws=ws)`` on the
+    slots' current values (unrolled for the common arities)."""
+    if len(nids) == 1:
+        (a,) = nids
+        return lambda: call(s[a], out=out, ws=ws)
+    if len(nids) == 2:
+        a, b = nids
+        return lambda: call(s[a], s[b], out=out, ws=ws)
+    if len(nids) == 3:
+        a, b, c = nids
+        return lambda: call(s[a], s[b], s[c], out=out, ws=ws)
+    if len(nids) == 4:
+        a, b, c, d = nids
+        return lambda: call(s[a], s[b], s[c], s[d], out=out, ws=ws)
+    return lambda: call(*[s[k] for k in nids], out=out, ws=ws)
+
+
+def _bind_forward(builder: _PlanBuilder, lop: _LoweredOp) -> Callable[[], None]:
+    forward, s, ins = lop.op.forward, builder.slots, lop.ins
+    if lop.op.rebinds:
+        # views and gathers: one operand, a fresh result rebound each replay
+        call, (a,), o = partial(forward, ws=_scratch(), **lop.static), ins, lop.out
+
+        def run():
+            s[o] = call(s[a])
+
+        return run
+    buf = builder.out_buffer(lop.out)
+    if isinstance(forward, np.ufunc):
+        # a bare ufunc (unary or binary) takes no workspace
+        if len(ins) == 1:
+            (a,) = ins
+            return lambda: forward(s[a], out=buf)
+        a, b = ins
+        return lambda: forward(s[a], s[b], out=buf)
+    call = partial(forward, **lop.static) if lop.static else forward
+    return _replay(call, s, ins, buf, _scratch())
+
+
+def _sink(buf: np.ndarray, first: bool) -> Callable[[np.ndarray], None]:
+    """Write (first contribution) or add a gradient value into ``buf``,
+    summing broadcast axes like ``Tensor._accumulate`` does."""
+    shape = buf.shape
+    if first:
+        return lambda value: np.copyto(buf, unbroadcast(value, shape))
+    return lambda value: unbroadcast(value, shape, out=buf)
+
+
+def _bind_vjp(builder: _PlanBuilder, lop: _LoweredOp, i: int, buf: np.ndarray, first: bool):
+    """Operand ``i``'s VJP computed straight into its gradient buffer (first
+    contribution) or the shared per-shape staging buffer plus one add."""
+    ws = _scratch()
+    natural = builder.shape(lop.out) if lop.op.elementwise else buf.shape
+    if natural != buf.shape:
+        dest = ws("vjp", natural)  # broadcast operand: full-shape VJP, then reduce
+    elif first:
+        dest = buf
     else:
-        raise LoweringError(f"op {name!r} is outside the replayable set")
-    return _LoweredOp(name, ins, builder.add_op_out(rec.out, ins), static)
+        dest = builder.accum_scratch(buf.shape)
+    call = partial(lop.op.vjp, i, builder.grad_buffer(lop.out), **lop.static)
+    value = _replay(call, builder.slots, (lop.out,) + lop.ins, dest, ws)
+    if dest is buf:
+        return value
+    if natural != buf.shape:
+        sink = _sink(buf, first)
+        return lambda: sink(value())
+
+    def accumulate():
+        value()
+        np.add(buf, dest, out=buf)
+
+    return accumulate
+
+
+def _bind_scatter(scatter, buf: np.ndarray, go: np.ndarray, static: dict, first: bool):
+    call = partial(scatter, buf, go, **static)
+    if not first:
+        return call
+
+    def run():
+        buf.fill(0.0)
+        call()
+
+    return run
+
+
+def _bind_adjoint(builder: _PlanBuilder, lop: _LoweredOp) -> List[Callable[[], None]]:
+    op = lop.op
+    go = builder.grad_buffer(lop.out)
+    fns = []
+    for i, nid in enumerate(lop.ins):
+        if not builder.requires(nid):
+            continue
+        first = builder.mark_contribution(nid)
+        buf = builder.grad_buffer(nid)
+        if op.scatter is not None:
+            fns.append(_bind_scatter(op.scatter, buf, go, lop.static, first))
+        elif op.is_view(i):
+            # the gradient buffer is fixed for the plan's life, so the view
+            # is taken once here and copied/added on every replay
+            y, xs = lop.traced
+            fns.append(partial(_sink(buf, first), op.vjp(i, go, y, *xs, **lop.static)))
+        else:
+            fns.append(_bind_vjp(builder, lop, i, buf, first))
+    return fns
 
 
 def _group(fns: List[Callable[[], None]]) -> Callable[[], None]:
@@ -398,16 +396,16 @@ def _group(fns: List[Callable[[], None]]) -> Callable[[], None]:
 
 
 def _assign_chains(kept: List[_LoweredOp], consumers: Dict[int, int]) -> List[Optional[int]]:
-    """Chain id per op: maximal runs of single-consumer fusable elementwise ops."""
+    """Chain id per op: maximal runs of single-consumer elementwise ops."""
     chain_id: List[Optional[int]] = [None] * len(kept)
     next_id = 0
     i = 0
     while i < len(kept):
-        if kept[i].name in FUSABLE:
+        if kept[i].op.elementwise:
             j = i
             while (
                 j + 1 < len(kept)
-                and kept[j + 1].name in FUSABLE
+                and kept[j + 1].op.elementwise
                 and consumers.get(kept[j].out, 0) == 1
                 and kept[j].out in kept[j + 1].ins
             ):
@@ -452,15 +450,12 @@ def _lower(recorder: CaptureRecorder, output_tensor, need_grads: bool) -> Compil
     consumers[output] = consumers.get(output, 0) + 1
     chain_id = _assign_chains(kept, consumers)
 
-    # forward program: build every kernel, then group fused chains
+    # forward program: bind every entry, then group fused chains
     forward: List[Callable[[], None]] = []
     pending: List[Callable[[], None]] = []
     pending_chain: Optional[int] = None
     for op, cid in zip(kept, chain_id):
-        builder_fn = FORWARD.get(op.name)
-        if builder_fn is None:
-            raise LoweringError(f"op {op.name!r} has no replay kernel")
-        fn = builder_fn(builder, op)
+        fn = _bind_forward(builder, op)
         if cid is not None and cid == pending_chain:
             pending.append(fn)
             continue
@@ -481,7 +476,7 @@ def _lower(recorder: CaptureRecorder, output_tensor, need_grads: bool) -> Compil
         for op, cid in zip(reversed(kept), reversed(chain_id)):
             if not builder.requires(op.out):
                 continue
-            fns = ADJOINT[op.name](builder, op)
+            fns = _bind_adjoint(builder, op)
             if not fns:
                 continue
             if cid is not None and cid == pending_chain:
@@ -517,6 +512,7 @@ def _lower(recorder: CaptureRecorder, output_tensor, need_grads: bool) -> Compil
         "params": len(builder.param_binds),
         "consts": len(builder._by_const),
         "host_inputs": len(host_binds),
+        # arena bytes; per-instruction scratch is allocated on first replay
         "buffer_bytes": builder.buffer_bytes,
     }
     return CompiledPlan(
@@ -536,7 +532,7 @@ def lower_training_plan(recorder: CaptureRecorder, loss_tensor) -> CompiledPlan:
     """Lower one captured train step (forward + loss) to a plan with adjoints."""
     if recorder.dead:
         raise LoweringError(recorder.dead_reason or "capture marked unsupported")
-    return _lower(recorder, loss_tensor, need_grads=True)
+    return _lower(recorder, output_tensor=loss_tensor, need_grads=True)
 
 
 def lower_predict_plan(recorder: CaptureRecorder, output_tensor) -> CompiledPlan:

@@ -18,9 +18,10 @@ executor can be re-opened, which starts a fresh pool.  Worker/serialize/
 reduce wall times are attributed to the active :mod:`repro.obs` profiler's
 ``parallel`` section and mirrored into :class:`StepResult.stats`.
 
-``predict`` runs on the parent model in-process — prediction is not
-sharded (yet; sensor-sharded serving is the roadmap's next step), and the
-parent's weights are authoritative between optimizer steps.
+``predict`` runs on the parent model in-process: the parent's weights are
+authoritative between optimizer steps.  Sharded prediction — the forecast
+fanned out over the worker pool along the sensor axis — is
+:meth:`repro.exec.ShardedExecutor.predict`.
 """
 
 from __future__ import annotations

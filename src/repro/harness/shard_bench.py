@@ -32,11 +32,10 @@ Exit code is nonzero unless every enforced gate passes (``all_passed``).
 from __future__ import annotations
 
 import json
-import os
 import time
 import tracemalloc
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from ..baselines import BuildSpec, build_from_spec
 from ..data import WindowSpec
 from ..exec import ExecutorSpec, make_executor
 from ..training import Trainer, TrainerConfig, TrainingHistory
+from .parallel_bench import _available_cores, _max_rel_diff
 from .reporting import TableResult, fmt
 from .runner import RunSettings, get_dataset
 
@@ -56,13 +56,6 @@ EQUIVALENCE_EPOCHS = 3
 SERVE_ATOL = 1e-9
 CITY_SENSORS = 10_000
 ENVELOPE_SLACK = 2.0  # measured N=10k peak runs ~1.4x the analytic model
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _train(
@@ -91,15 +84,6 @@ def _train(
         executor=executor,
     )
     return Trainer(model, dataset, WindowSpec(HISTORY, HORIZON), config).fit()
-
-
-def _max_rel_diff(a: Sequence[float], b: Sequence[float]) -> float:
-    left = np.asarray(a, dtype=np.float64)
-    right = np.asarray(b, dtype=np.float64)
-    if left.shape != right.shape:
-        return float("inf")
-    scale = np.maximum(np.abs(left), 1e-12)
-    return float(np.max(np.abs(left - right) / scale)) if left.size else float("inf")
 
 
 def _equivalence_check(

@@ -11,7 +11,7 @@ a NaN discovered deep in backprop points at the forward line that built the
 node.
 
 The checks ride the same per-op wrapper the :mod:`repro.obs` profiler uses
-(``repro.tensor.ops._traced``); with no context active the cost is one
+(``repro.tensor.ops._apply``); with no context active the cost is one
 global ``None`` check per op call.  With a context active every op pays an
 ``np.isfinite().all()`` scan plus (by default) a stack capture, so this is
 a debugging/fault-tolerance tool, not a production default — the

@@ -42,7 +42,9 @@ def small_det_model(num_sensors: int = 8, seed: int = 0):
     )
 
 
-def parallel_trainer(tiny_dataset, n_workers: int = 0, **overrides):
+def parallel_trainer(
+    tiny_dataset, n_workers: int = 0, *, prefetch: bool = True, start_method=None, **overrides
+):
     config = dict(
         epochs=3,
         batch_size=16,
@@ -52,8 +54,6 @@ def parallel_trainer(tiny_dataset, n_workers: int = 0, **overrides):
         seed=0,
         patience=10_000,
     )
-    prefetch = overrides.pop("prefetch", True)
-    start_method = overrides.pop("parallel_start_method", None)
     if n_workers >= 2:
         config["executor"] = ExecutorSpec.parallel(
             n_workers=n_workers, prefetch=prefetch, start_method=start_method
@@ -386,7 +386,7 @@ class TestTrainerEquivalence:
             n_workers=2,
             epochs=1,
             max_batches_per_epoch=2,
-            parallel_start_method="spawn",
+            start_method="spawn",
         )
         history = trainer.fit()
         assert np.isfinite(history.train_loss[0])
