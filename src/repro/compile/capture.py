@@ -2,9 +2,10 @@
 
 A :class:`CaptureRecorder` is installed into the traced-op wrapper
 (:func:`repro.tensor.ops.set_op_capture`) around exactly one forward(+loss)
-pass.  Every primitive reports ``(name, args, kwargs, out)`` in execution
-order; the recorder keeps *strong references* to every argument and output
-tensor so Python never recycles an ``id()`` mid-capture — identity is how
+pass.  Every primitive reports its op-table call already bound — ``(name,
+tensor operands, static config, out)`` — in execution order; the recorder
+keeps *strong references* to every operand and output tensor so Python
+never recycles an ``id()`` mid-capture — identity is how
 the lowering pass (:mod:`repro.compile.plan`) later tells parameters,
 step inputs, per-step host arrays, and frozen constants apart.
 
@@ -37,7 +38,8 @@ __all__ = ["CaptureRecorder", "TraceRecord"]
 
 
 class TraceRecord:
-    """One primitive-op call: name, raw args/kwargs, and the output tensor."""
+    """One primitive-op call: the op-table entry's name, its tensor operands
+    (``args``), its static config (``kwargs``) and the output tensor."""
 
     __slots__ = ("name", "args", "kwargs", "out")
 

@@ -297,7 +297,7 @@ def _bind_forward(builder: _PlanBuilder, lop: _LoweredOp) -> Callable[[], None]:
     forward, s, ins = lop.op.forward, builder.slots, lop.ins
     if lop.op.rebinds:
         # views and gathers: one operand, a fresh result rebound each replay
-        call, (a,), o = partial(forward, ws=_scratch(), **lop.static), ins, lop.out
+        call, (a,), o = partial(forward, **lop.static), ins, lop.out
 
         def run():
             s[o] = call(s[a])

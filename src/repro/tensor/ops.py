@@ -669,6 +669,9 @@ def _matmul_vjp(i, g, y, a, b, out=None, ws=_fresh):
         if b.ndim == 1:
             # (..., n) @ (n,) -> (...,): d/da = grad ⊗ b
             return np.multiply(g[..., None], b, out=out)
+        if a.ndim == 1:
+            # (n,) @ (..., n, k) -> (..., k): d/da = sum over batch of b grad
+            return _into(tensor_module.unbroadcast((b @ g[..., None])[..., 0], a.shape), out)
         b_t = b.swapaxes(-1, -2)
         if g.shape[:-1] + a.shape[-1:] == a.shape:
             return np.matmul(g, b_t, out=out)

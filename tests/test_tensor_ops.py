@@ -106,6 +106,8 @@ class TestMatmul:
             ((2, 6, 3, 4), (4, 5)),
             ((6, 3, 4), (1, 4, 5)),
             ((4,), (4, 5)),
+            ((4,), (2, 4, 5)),
+            ((3, 4), (2, 4, 5)),
             ((3, 4), (4,)),
             ((2, 3, 4), (4,)),
         ],
