@@ -377,7 +377,13 @@ def _bind_adjoint(builder: _PlanBuilder, lop: _LoweredOp) -> List[Callable[[], N
             # the gradient buffer is fixed for the plan's life, so the view
             # is taken once here and copied/added on every replay
             y, xs = lop.traced
-            fns.append(partial(_sink(buf, first), op.vjp(i, go, y, *xs, **lop.static)))
+            view = op.vjp(i, go, y, *xs, **lop.static)
+            if view.shape != buf.shape:
+                fns.append(partial(_sink(buf, first), view))
+            elif first:
+                fns.append(partial(np.copyto, buf, view))
+            else:
+                fns.append(partial(np.add, buf, view, out=buf))
         else:
             fns.append(_bind_vjp(builder, lop, i, buf, first))
     return fns

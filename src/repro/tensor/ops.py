@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import builtins
 import time as _time
+from operator import attrgetter
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -240,47 +241,49 @@ def notify_compile_unsupported(reason: str) -> None:
 # --------------------------------------------------------------------- #
 # the tape's binding of an entry
 # --------------------------------------------------------------------- #
-def _record(op: Op, tensors: list, static: dict) -> Tensor:
-    """Run ``op``'s forward and record its VJPs on the tape."""
-    xs = [t.data for t in tensors]
-    y = op.forward(*xs, **static)
-
-    def backward(g: np.ndarray) -> None:
-        for i, t in enumerate(tensors):
-            if not t.requires_grad:
-                continue
-            if op.scatter is not None:
-                op.scatter(t._grad_buffer(), g, **static)
-            else:
-                t._accumulate(op.vjp(i, g, y, *xs, **static), own=not op.is_view(i))
-
-    return Tensor._make(y, tensors, backward)
+_data = attrgetter("data")
 
 
 def _apply(op: Op, operands: Sequence[ArrayLike], **static) -> Tensor:
     """Apply ``op`` to tensor ``operands`` with ``static`` config.
 
-    Reports the call to an active trace hook, anomaly screen and capture
-    (none of them under ``inference_mode``).
+    Runs the forward with ``out=None`` and records a backward closure that
+    calls the entry's VJPs (or its scatter).  An active trace hook, anomaly
+    screen or capture sees the call (none of them under ``inference_mode``).
     """
     tensors = list(map(as_tensor, operands))
-    hook = _trace_hook
-    anomaly = _anomaly_check
-    capture = _op_capture
-    if (hook is None and anomaly is None and capture is None) or tensor_module._state.inference_mode:
-        return _record(op, tensors, static)
-    if hook is None and anomaly is None:
-        # capture-only fast path: record the call, skip timing/screening
-        out = _record(op, tensors, static)
-        capture.record_op(op.name, tuple(tensors), static, out)
-        return out
+    observed = (
+        _trace_hook is not None or _anomaly_check is not None or _op_capture is not None
+    ) and not tensor_module._state.inference_mode
+    start = _time.perf_counter() if observed else 0.0
+    xs = list(map(_data, tensors))
+    y = op.forward(*xs, **static)
+    vjp, scatter, view = op.vjp, op.scatter, op.view
+
+    def backward(g: np.ndarray) -> None:
+        for i, t in enumerate(tensors):
+            if not t.requires_grad:
+                continue
+            if scatter is not None:
+                scatter(t._grad_buffer(), g, **static)
+            else:
+                own = view is False or (view is not True and i not in view)
+                t._accumulate(vjp(i, g, y, *xs, **static), own=own)
+
+    out = Tensor._make(y, tensors, backward)
+    if observed:
+        _observe(op, tensors, static, out, start)
+    return out
+
+
+def _observe(op: Op, tensors: list, static: dict, out: Tensor, start: float) -> None:
+    """Report one applied op to the trace hook, anomaly screen and capture."""
     name = op.name
-    start = _time.perf_counter()
-    out = _record(op, tensors, static)
+    hook, anomaly, capture = _trace_hook, _anomaly_check, _op_capture
     if hook is not None:
         elapsed = _time.perf_counter() - start
         nbytes = int(out.data.nbytes)
-        flops = op.cost([t.data for t in tensors], out.data)
+        flops = op.cost(list(map(_data, tensors)), out.data)
         hook(name, "forward", elapsed, flops, nbytes)
     else:
         nbytes = 0
@@ -289,7 +292,7 @@ def _apply(op: Op, operands: Sequence[ArrayLike], **static) -> Tensor:
     # later backward anomaly of this node will report
     trace = anomaly.after_forward(name, out.data) if anomaly is not None else None
     inner = out._backward_fn
-    if inner is not None:
+    if inner is not None and (hook is not None or anomaly is not None):
         # Backward FLOPs are charged at the conventional 2x forward; the
         # gradient array has the output's shape, hence the same bytes.
         def traced_backward(grad: np.ndarray, _inner=inner, _trace=trace) -> None:
@@ -307,7 +310,6 @@ def _apply(op: Op, operands: Sequence[ArrayLike], **static) -> Tensor:
         out._backward_fn = traced_backward
     if capture is not None:
         capture.record_op(name, tuple(tensors), static, out)
-    return out
 
 
 # --------------------------------------------------------------------- #
@@ -707,14 +709,14 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
     return _apply(MATMUL, (a, b))
 
 
-def _linear(x, weight, *bias, out=None, ws=_fresh):
+def _linear(x, weight, bias=None, out=None, ws=_fresh):
     out = np.matmul(x, weight, out=out)
-    if bias:
-        np.add(out, bias[0], out=out)
+    if bias is not None:
+        np.add(out, bias, out=out)
     return out
 
 
-def _linear_vjp(i, g, y, x, weight, *bias, out=None, ws=_fresh):
+def _linear_vjp(i, g, y, x, weight, bias=None, out=None, ws=_fresh):
     if i == 0:
         return np.matmul(g, weight.T, out=out)
     flat_g = g.reshape(-1, g.shape[-1])
@@ -978,15 +980,16 @@ def broadcast_to(a: ArrayLike, shape: Tuple[int, ...]) -> Tensor:
 # --------------------------------------------------------------------- #
 # reductions
 # --------------------------------------------------------------------- #
-def _expand_reduced(grad: np.ndarray, shape: Tuple[int, ...], axis: Axis, keepdims: bool) -> np.ndarray:
+def _kept(grad: np.ndarray, shape: Tuple[int, ...], axis: Axis, keepdims: bool) -> np.ndarray:
+    """A reduction's output (or its gradient) in the ``keepdims`` layout,
+    so it broadcasts against the reduced input of ``shape``."""
+    if keepdims:
+        return grad
     if axis is None:
-        return np.broadcast_to(grad, shape)
+        return np.reshape(grad, (1,) * len(shape))
     axes = (axis,) if isinstance(axis, int) else tuple(axis)
     axes = tuple(ax % len(shape) for ax in axes)
-    if not keepdims:
-        for ax in sorted(axes):
-            grad = np.expand_dims(grad, ax)
-    return np.broadcast_to(grad, shape)
+    return np.reshape(grad, tuple(1 if i in axes else n for i, n in enumerate(shape)))
 
 
 def _sum(a, out=None, ws=_fresh, *, axis, keepdims):
@@ -994,7 +997,7 @@ def _sum(a, out=None, ws=_fresh, *, axis, keepdims):
 
 
 def _sum_vjp(i, g, y, a, out=None, ws=_fresh, *, axis, keepdims):
-    return _expand_reduced(g, a.shape, axis, keepdims)
+    return np.broadcast_to(_kept(g, a.shape, axis, keepdims), a.shape)
 
 
 SUM = Op("sum", _sum, _sum_vjp, view=True, flops=_per_input)
@@ -1007,7 +1010,9 @@ def sum(a: ArrayLike, axis: Axis = None, keepdims: bool = False) -> Tensor:  # n
 
 def _mean_vjp(i, g, y, a, out=None, ws=_fresh, *, axis, keepdims):
     count = a.size / builtins.max(y.size, 1)
-    return np.divide(_expand_reduced(g, a.shape, axis, keepdims), count, out=out)
+    if out is None:
+        out = np.empty(a.shape)
+    return np.divide(_kept(g, a.shape, axis, keepdims), count, out=out)
 
 
 def _mean(a, out=None, ws=_fresh, *, axis, keepdims):
@@ -1032,9 +1037,9 @@ def var(a: ArrayLike, axis: Axis = None, keepdims: bool = False) -> Tensor:
 def _max_vjp(i, g, y, a, out=None, ws=_fresh, *, axis, keepdims):
     # the gradient splits evenly across ties
     share = ws(1, a.shape)
-    np.copyto(share, np.equal(a, _expand_reduced(y, a.shape, axis, keepdims), out=ws(0, a.shape, bool)))
+    np.copyto(share, np.equal(a, _kept(y, a.shape, axis, keepdims), out=ws(0, a.shape, bool)))
     np.divide(share, share.sum(axis=axis, keepdims=True), out=share)
-    return np.multiply(_expand_reduced(g, a.shape, axis, keepdims), share, out=out)
+    return np.multiply(_kept(g, a.shape, axis, keepdims), share, out=out)
 
 
 def _max(a, out=None, ws=_fresh, *, axis, keepdims):
