@@ -675,7 +675,7 @@ def _matmul_vjp(i, g, y, a, b, out=None, ws=_fresh):
             # (n,) @ (..., n, k) -> (..., k): d/da = sum over batch of b grad
             return _into(tensor_module.unbroadcast((b @ g[..., None])[..., 0], a.shape), out)
         b_t = b.swapaxes(-1, -2)
-        if g.shape[:-1] + a.shape[-1:] == a.shape:
+        if a.shape[:-1] == g.shape[:-1]:
             return np.matmul(g, b_t, out=out)
         return _into(tensor_module.unbroadcast(g @ b_t, a.shape), out)
     if a.ndim == 1:
@@ -689,7 +689,7 @@ def _matmul_vjp(i, g, y, a, b, out=None, ws=_fresh):
         flat_a = a.reshape(-1, a.shape[-1])
         return np.matmul(flat_a.T, g.reshape(-1, g.shape[-1]), out=out)
     a_t = a.swapaxes(-1, -2)
-    if g.shape[:-2] + b.shape[-2:] == b.shape:
+    if b.shape[:-2] == g.shape[:-2]:
         return np.matmul(a_t, g, out=out)
     return _into(tensor_module.unbroadcast(a_t @ g, b.shape), out)
 

@@ -227,23 +227,16 @@ class Tensor:
         parents: Iterable["Tensor"],
         backward_fn: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        """Create a graph node from an op's output (internal helper for ops).
-
-        Every op output passes through here, so it skips ``__init__``'s
-        conversions when ``data`` already is a float64 ndarray.
-        """
-        out = Tensor.__new__(Tensor)
-        if data.__class__ is np.ndarray and data.dtype == np.float64:
-            out.data = data
-        else:
-            out.data = np.asarray(data, dtype=np.float64)
-        out.grad = None
-        out.name = ""
-        # no_grad / inference_mode: no parents scan, no closure retained
-        requiring = tuple(p for p in parents if p.requires_grad) if _state.grad_enabled else ()
-        out.requires_grad = bool(requiring)
-        out._parents = requiring
-        out._backward_fn = backward_fn if requiring else None
+        """Create a graph node from an op's output (internal helper for ops)."""
+        if not _state.grad_enabled:
+            # no_grad / inference_mode: no parents scan, no closure retained
+            return Tensor(data)
+        parents = tuple(parents)
+        requires = any(p.requires_grad for p in parents)
+        out = Tensor(data, requires_grad=requires)
+        if requires:
+            out._parents = tuple(p for p in parents if p.requires_grad)
+            out._backward_fn = backward_fn
         return out
 
     def _accumulate(self, grad: np.ndarray, own: bool = False) -> None:
