@@ -258,7 +258,7 @@ def _apply(op: Op, operands: Sequence[ArrayLike], **static) -> Tensor:
     start = _time.perf_counter() if observed else 0.0
     xs = list(map(_data, tensors))
     y = op.forward(*xs, **static)
-    vjp, scatter, view = op.vjp, op.scatter, op.view
+    vjp, scatter = op.vjp, op.scatter
 
     def backward(g: np.ndarray) -> None:
         for i, t in enumerate(tensors):
@@ -267,8 +267,7 @@ def _apply(op: Op, operands: Sequence[ArrayLike], **static) -> Tensor:
             if scatter is not None:
                 scatter(t._grad_buffer(), g, **static)
             else:
-                own = view is False or (view is not True and i not in view)
-                t._accumulate(vjp(i, g, y, *xs, **static), own=own)
+                t._accumulate(vjp(i, g, y, *xs, **static), own=not op.is_view(i))
 
     out = Tensor._make(y, tensors, backward)
     if observed:

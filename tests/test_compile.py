@@ -1,6 +1,6 @@
 """Compiled execution backend (repro.compile): trace once, replay many.
 
-Four invariants, mirroring DESIGN.md "Compiled execution":
+Five invariants, mirroring DESIGN.md "Compiled execution":
 
 * **Equivalence** — a compiled trajectory (losses, gradients, predictions)
   matches the interpreted :class:`repro.exec.SerialExecutor` to 1e-9
@@ -16,6 +16,8 @@ Four invariants, mirroring DESIGN.md "Compiled execution":
   gradient-checked against central finite differences per fused-chain
   pattern (elementwise, linear, softmax, reductions, views, fancy
   indexing, matmul).
+* **One op table** — every entry of :data:`repro.tensor.ops.OPS` has a
+  program whose compiled replay matches the tape's loss and gradients.
 """
 
 from __future__ import annotations
